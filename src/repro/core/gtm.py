@@ -68,12 +68,21 @@ class Access:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalProgram:
-    """A predeclared global transaction: ordered data accesses."""
+    """A predeclared global transaction: ordered data accesses.
+
+    Immutable, so :attr:`sites` — the sites in first-access order — is
+    computed once at construction instead of on every read."""
 
     transaction_id: str
     accesses: Tuple[Access, ...]
+    sites: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "sites", tuple({access.site: None for access in self.accesses})
+        )
 
     @classmethod
     def build(
@@ -84,14 +93,6 @@ class GlobalProgram:
             transaction_id,
             tuple(Access(site, kind, item) for site, kind, item in accesses),
         )
-
-    @property
-    def sites(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for access in self.accesses:
-            if access.site not in seen:
-                seen.append(access.site)
-        return tuple(seen)
 
     def read_set(self, site: str) -> frozenset:
         return frozenset(
@@ -113,7 +114,9 @@ def site_components(
 ) -> List[Tuple[str, ...]]:
     """Partition *sites* into connected components under the relation
     "some global program touches both" — the sharding rule of the
-    parallel transport (:mod:`repro.transport`).
+    parallel transport (:mod:`repro.transport`), and the scope of the
+    simulator's no-progress watchdog, which aborts one victim per
+    component per tick (:class:`repro.mdbs.simulator.MDBSSimulator`).
 
     Two sites land in the same component exactly when a chain of global
     transactions links them, so transactions of different components
@@ -378,6 +381,10 @@ class GTMSystem:
         if logical in self._incarnation_counter:
             raise ProtocolViolation(
                 f"global transaction {logical!r} submitted twice"
+            )
+        if not program.sites:
+            raise ProtocolViolation(
+                f"global transaction {logical!r} accesses no site"
             )
         self._incarnation_counter[logical] = 0
         self._start_incarnation(program)

@@ -313,6 +313,10 @@ class MDBSSimulator:
         self._stats: Dict[str, TransactionStats] = {}
         self._restart_count: Dict[str, int] = {}
         self._programs: Dict[str, GlobalProgram] = {}
+        #: site -> index of its component in ``site_components(self.sites,
+        #: self._programs.values())``; built lazily by the watchdog and
+        #: cleared whenever ``_programs`` gains or changes a site set
+        self._component_of: Optional[Dict[str, int]] = None
         self.ser_schedule = SerSchedule()
         self.committed_global: List[str] = []
         self.failed_global: List[str] = []
@@ -484,7 +488,12 @@ class MDBSSimulator:
             raise ProtocolViolation(
                 f"global transaction {logical!r} submitted twice"
             )
+        if not program.sites:
+            raise ProtocolViolation(
+                f"global transaction {logical!r} accesses no site"
+            )
         self._programs[logical] = program
+        self._component_of = None
         self._restart_count[logical] = 0
         self._stats[logical] = TransactionStats(submitted_at=at)
         self.loop.schedule_at(at, lambda: self._start_incarnation(logical))
@@ -788,23 +797,29 @@ class MDBSSimulator:
             # on a partitionable one it matches the per-shard watchdogs
             # of the parallel transport — each shard is one component.
             if stalled:
-                programs = list(self._programs.values()) + [
-                    r.program for r in self._runtimes.values()
-                ]
-                for component in site_components(self.sites, programs):
-                    members = set(component)
-                    candidates = [
-                        r for r in stalled if members & set(r.program.sites)
-                    ]
-                    if not candidates:
-                        continue
-                    victim = min(
-                        candidates,
-                        key=lambda r: (r.last_progress, r.incarnation),
-                    )
+                if self._component_of is None:
+                    self._component_of = {
+                        site: index
+                        for index, component in enumerate(
+                            site_components(self.sites, self._programs.values())
+                        )
+                        for site in component
+                    }
+                # the oldest stall of each component, aborted in
+                # ascending component order (site_components' order)
+                victims: Dict[int, _GlobalRuntime] = {}
+                for runtime in stalled:
+                    index = self._component_of[runtime.program.sites[0]]
+                    best = victims.get(index)
+                    if best is None or (
+                        runtime.last_progress,
+                        runtime.incarnation,
+                    ) < (best.last_progress, best.incarnation):
+                        victims[index] = runtime
+                for index in sorted(victims):
                     self.watchdog_aborts += 1
                     self._abort_global(
-                        victim.incarnation, "watchdog: no progress"
+                        victims[index].incarnation, "watchdog: no progress"
                     )
             if self._runtimes or self.loop.pending:
                 self.loop.schedule(self._watchdog_interval(), tick)
@@ -1005,6 +1020,15 @@ class MDBSSimulator:
             if routed is None:
                 self._route_failed(logical)
                 return
+            current = self._programs.get(logical)
+            if current is None or current.sites != routed.sites:
+                # a first route or a re-route onto other copies can
+                # split or join components (the available-copies rule
+                # may shrink a site set), so the watchdog's partition
+                # is rebuilt.  Runtime programs stay out of its input:
+                # each is its logical's current _programs entry or a
+                # commit-site-resumed subset of it, and adds no edge.
+                self._component_of = None
             self._programs[logical] = routed
         program = self._programs[logical]
         committed_sites = self._committed_sites_of(logical)

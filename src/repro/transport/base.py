@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.gtm import GlobalProgram, site_components
+from repro.exceptions import ProtocolViolation
 from repro.faults.plan import FaultPlan
 from repro.mdbs.simulator import (
     MDBSSimulator,
@@ -280,6 +281,12 @@ def shard_jobs(job: SimulationJob) -> List[SimulationJob]:
     programs, and the fault plan's site-keyed scenarios follow their
     component; everything else is copied).  Returns ``[job]`` when the
     workload is one component."""
+    for program, _ in job.global_programs:
+        if not program.sites:
+            raise ProtocolViolation(
+                f"global transaction {program.transaction_id!r} "
+                f"accesses no site"
+            )
     components = site_components(
         job.sites, [program for program, _ in job.global_programs]
     )
