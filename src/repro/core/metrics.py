@@ -37,7 +37,7 @@ class SchemeMetrics:
     #: structural graph mutations (node/edge/dependency inserts+removals)
     graph_ops: int = 0
     #: DFS / scan work units the incremental paths did *not* re-execute
-    #: (estimated against the legacy restart-from-scratch cost)
+    #: (estimated against a restart-from-scratch search)
     dfs_steps_avoided: int = 0
     #: waiting operations the targeted post-purge drain did not re-examine
     wake_retries_skipped: int = 0

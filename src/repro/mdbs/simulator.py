@@ -194,7 +194,7 @@ class SimulationReport:
     #: index) plus per-site incremental serialization graphs
     graph_ops: int = 0
     #: DFS / scan work the incremental paths did not re-execute,
-    #: estimated against the legacy restart-from-scratch cost
+    #: estimated against a restart-from-scratch search
     dfs_steps_avoided: int = 0
     #: waiting operations the targeted post-purge drain never re-examined
     wake_retries_skipped: int = 0

@@ -32,9 +32,9 @@ equivalence comparison):
 
 - ``events_executed`` — each shard arms its own no-progress watchdog, so
   the merged count includes one watchdog tick chain per shard;
-- ``scheme_steps`` under the *legacy* scheme3 scans — the paper-model
-  scan cost walks all co-resident transactions, which depends on the
-  partition (decisions do not);
+- ``scheme_steps`` of scheme3 — the paper-model scan cost it charges
+  counts all co-resident transactions, which depends on the partition
+  (decisions do not);
 - a stalled run may abort one watchdog victim *per shard* per tick
   instead of one victim total.
 """

@@ -331,20 +331,18 @@ class TestScheme4RecoveryReplanning:
         assert per_site["b"] == ["T0", "T1", "T2"]
         assert per_site["a"] == ["T1", "T2"]
 
-    def test_replay_without_seal_markers_promotes_in_execution_order(self):
-        """Journals that predate the demand-seal markers still recover
-        (best effort): the act_ser fallback promotes each transaction as
-        a singleton batch at its first replayed ser, chaining the
-        rebuilt plan in execution order."""
+    def test_replay_without_seal_markers_fails_loudly(self):
+        """A journal stripped of its demand-seal markers cannot rebuild
+        the batch plan: replaying a ser of a never-sealed transaction
+        raises instead of guessing an order."""
         records = [Init("G5", sites=("s2", "s1")), Ser("G5", site="s2")]
         journal, _, _, _ = journaled_run(
             lambda: Scheme4(batch_size=8), records
         )
         assert journal.seals  # the demand-seal was journaled...
-        journal.seals.clear()  # ...but this journal predates the field
-        replayed = replay_scheme(Scheme4(batch_size=8), journal)
-        assert "G5" in replayed._batch_of
-        assert replayed._pred[("G5", "s2")] is None
+        journal.seals.clear()  # ...and is now missing
+        with pytest.raises(SchedulerError, match="'G5'.*in no batch"):
+            replay_scheme(Scheme4(batch_size=8), journal)
 
     def test_truncate_keeps_seal_markers(self):
         journal = Journal()

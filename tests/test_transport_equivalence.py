@@ -1,7 +1,8 @@
 """The transport seam is behaviour-preserving.
 
-PR 3 proved the fast paths replay the legacy scheduler byte-for-byte;
-this suite does the same for the transport abstraction, in two layers:
+tests/test_reference_oracles.py diffs the optimised scheduler against
+its reference algorithms; this suite does the same for the transport
+abstraction, in two layers:
 
 - **byte identity** — :class:`~repro.transport.sim.SimTransport` must be
   indistinguishable from driving :class:`~repro.mdbs.simulator.
@@ -13,8 +14,8 @@ this suite does the same for the transport abstraction, in two layers:
   workloads: committed/failed sets, verification verdicts, the
   response-time multiset (every wait a scheme imposed), abort counts.
   ``events_executed``/``duration``/``scheme_steps`` legitimately differ
-  (per-shard watchdog tick chains, partition-dependent legacy scan
-  charges — see :mod:`repro.transport.base`) and are excluded.
+  (per-shard watchdog tick chains, partition-dependent paper-model
+  scan charges — see :mod:`repro.transport.base`) and are excluded.
 
 A hypothesis property drives the partition boundary itself: a global
 transaction that spans two site components forces the sharder to merge
@@ -81,7 +82,7 @@ def _assert_same_decisions(sim_result, par_result):
 def _normalized_schedules(schedule):
     """Per-site operation tuples with ``Operation.seq`` — a
     process-global allocation counter — rewritten to its rank within
-    this run (same normalization as test_fastpath_equivalence)."""
+    this run (same normalization as test_reference_oracles)."""
     site_ops = {
         site: tuple(schedule.local_schedule(site))
         for site in schedule.sites
